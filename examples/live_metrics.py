@@ -56,11 +56,15 @@ def main() -> None:
         mapper.write(results, "metrics_demo.sam")
     snapshot = registry.snapshot()
     chunks = snapshot["counters"]["pipeline.chunks"]
-    seed_ms = snapshot["histograms"]["pipeline.seed_query_s"]["sum"] * 1e3
-    align_ms = (snapshot["histograms"]["pipeline.filter_align_s"]["sum"]
-                * 1e3)
+    histograms = snapshot["histograms"]
+    seed_ms = histograms["pipeline.seed_query_s"]["sum"] * 1e3
+    light_ms = histograms["pipeline.filter_align_s"]["sum"] * 1e3
+    dp_ms = histograms["pipeline.dp_candidate_s"]["sum"] * 1e3
+    full_ms = histograms["pipeline.full_dp_s"]["sum"] * 1e3
+    align_ms = light_ms + dp_ms + full_ms
     print(f"   {chunks} chunks: seeding {seed_ms:.1f}ms, "
-          f"filter+align {align_ms:.1f}ms "
+          f"filter+light-align {light_ms:.1f}ms, DP at candidates "
+          f"{dp_ms:.1f}ms, full-DP fallback {full_ms:.1f}ms "
           f"({align_ms / (seed_ms + align_ms) * 100:.0f}% of stage "
           "time in alignment)")
     write_metrics_json("metrics_demo.json")

@@ -23,8 +23,10 @@ Two execution engines share the exact same per-pair decision logic:
   all seeds of a chunk with one vectorized xxHash call, resolves every
   seed against the array-backed SeedMap in one ``searchsorted`` probe,
   and merges candidates batch-wide, only dropping to per-pair Python for
-  filtering and alignment.  Results are bit-identical between the two
-  engines (asserted in the test suite).
+  filtering and light alignment; DP at the candidates of every pair
+  light alignment leaves over runs as one batched banded-DP call per
+  chunk.  Results are bit-identical between the two engines (asserted
+  in the test suite).
 
 Multi-process execution runs on :class:`StreamExecutor`, a persistent
 worker-pool streaming executor: a long-lived pool of forked worker
@@ -53,12 +55,13 @@ from typing import Callable, Iterable, Iterator, List, Optional, \
 
 import numpy as np
 
-from ..align.banded import align_banded
+from ..align.banded import BandedJob, align_banded, align_banded_batch
+from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
 from ..genome.cigar import Cigar
 from ..genome.io_fasta import read_ahead
-from ..genome.reference import ReferenceGenome
+from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
 from ..genome.sequence import reverse_complement
@@ -198,6 +201,24 @@ class PairResult:
         return self.stage != STAGE_UNMAPPED
 
 
+#: One pair as the per-pair dataflow takes it: ``(read1, read2, name,
+#: orientations, prepared)`` (see :meth:`GenPairPipeline._map_phased`).
+_PairTask = Tuple[np.ndarray, np.ndarray, str, Sequence[PairSeeds],
+                  Optional[Sequence[Tuple[QueryResult, QueryResult]]]]
+
+
+@dataclass(frozen=True)
+class _Placed:
+    """A pair the adjacency filter placed but light alignment could not
+    align: its orientation, oriented reads and (capped) joint
+    candidates, waiting for DP at those candidates."""
+
+    pair_seeds: PairSeeds
+    oriented1: np.ndarray
+    oriented2: np.ndarray
+    joint_candidates: Tuple[Tuple[int, int], ...]
+
+
 class GenPairPipeline:
     """End-to-end paired-end mapper implementing the GenPair algorithm."""
 
@@ -247,7 +268,8 @@ class GenPairPipeline:
         orientations = partition_pair(read1, read2,
                                       self.config.seed_length,
                                       self.config.seeds_per_read)
-        return self._map_prepared(read1, read2, name, orientations, None)
+        return self._map_phased([(read1, read2, name, orientations,
+                                  None)])[0]
 
     def map_pairs(self, pairs: Sequence) -> List[PairResult]:
         """Map a batch; accepts (read1, read2, name) tuples or objects with
@@ -383,11 +405,11 @@ class GenPairPipeline:
         """Batch-seed, batch-hash, and batch-query one chunk of pairs.
 
         The chunk's seed windows are resolved in one batched SeedMap
-        probe (:meth:`_resolve_chunk`); the per-pair decision logic
-        then runs over the pre-resolved :class:`QueryResult` quadruple
-        of each pair.  Stage timings are recorded once per *chunk*
-        (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
-        instrumentation cost is amortized over the whole batch.
+        probe (:meth:`_resolve_chunk`); the phased per-pair dataflow
+        (:meth:`_map_phased`) then runs over the pre-resolved
+        :class:`QueryResult` quadruple of each pair.  Stage timings are
+        recorded once per *chunk*, so instrumentation cost is amortized
+        over the whole batch.
         """
         if not items:
             return []
@@ -396,22 +418,18 @@ class GenPairPipeline:
         start = time.perf_counter() if timed else 0.0
         with span("seed.query_batch"):
             queries = self._resolve_chunk(items)
-        queried = time.perf_counter() if timed else 0.0
-        with span("pair.filter_align"):
-            results = []
-            for index, (read1, read2, name) in enumerate(items):
-                base = 4 * index
-                prepared = ((queries[base], queries[base + 1]),
-                            (queries[base + 2], queries[base + 3]))
-                results.append(self._map_prepared(read1, read2, name,
-                                                  _BATCH_ORIENTATIONS,
-                                                  prepared))
         if timed:
-            done = time.perf_counter()
             obs.histogram("pipeline.seed_query_s").observe(
-                queried - start)
-            obs.histogram("pipeline.filter_align_s").observe(
-                done - queried)
+                time.perf_counter() - start)
+        tasks = []
+        for index, (read1, read2, name) in enumerate(items):
+            base = 4 * index
+            prepared = ((queries[base], queries[base + 1]),
+                        (queries[base + 2], queries[base + 3]))
+            tasks.append((read1, read2, name, _BATCH_ORIENTATIONS,
+                          prepared))
+        results = self._map_phased(tasks, timed)
+        if timed:
             obs.counter("pipeline.chunks").inc()
             obs.counter("pipeline.pairs").inc(len(items))
         return results
@@ -508,18 +526,59 @@ class GenPairPipeline:
 
     # -- shared per-pair dataflow ------------------------------------------
 
-    def _map_prepared(self, read1: np.ndarray, read2: np.ndarray,
-                      name: str, orientations: Sequence[PairSeeds],
-                      prepared: Optional[Sequence[Tuple[QueryResult,
-                                                        QueryResult]]]
-                      ) -> PairResult:
+    def _map_phased(self, tasks: Sequence[_PairTask], timed: bool = False
+                    ) -> List[PairResult]:
         """Seed-to-result dataflow shared by both execution engines.
 
+        Each task is ``(read1, read2, name, orientations, prepared)``;
         ``prepared`` carries pre-resolved SeedMap queries (one
         ``(read1, read2)`` result per orientation) from the batched
-        engine; ``None`` makes the scalar engine query inline.  Either
-        way an orientation's query statistics are only charged when that
-        orientation is actually tried.
+        engine, and ``None`` makes the scalar engine query inline.
+        The pairs run in three phases, each over all of them:
+
+        1. adjacency filtering and light alignment
+           (:meth:`_filter_and_light`);
+        2. DP at candidates for the pairs light alignment could not
+           align: one batched banded-DP call over all their candidate
+           windows, after which each pair's candidate loop replays in
+           order (:meth:`_dp_at_candidates`);
+        3. the full-DP fallback, for pairs no candidate placed.
+
+        Decisions and statistics are those of running the pairs one at
+        a time.  ``timed`` records each phase's seconds.
+        """
+        clock = time.perf_counter
+        started = clock() if timed else 0.0
+        with span("pair.filter_align"):
+            outcomes = [self._filter_and_light(*task) for task in tasks]
+        filtered = clock() if timed else 0.0
+        with span("pair.dp_candidate"):
+            self._dp_at_candidates(tasks, outcomes)
+        aligned = clock() if timed else 0.0
+        with span("pair.full_dp"):
+            results = [outcome if outcome is not None
+                       else self._full_fallback(*task[:3])
+                       for task, outcome in zip(tasks, outcomes)]
+        if timed:
+            obs = self.obs
+            obs.histogram("pipeline.filter_align_s").observe(
+                filtered - started)
+            obs.histogram("pipeline.dp_candidate_s").observe(
+                aligned - filtered)
+            obs.histogram("pipeline.full_dp_s").observe(clock() - aligned)
+        return results
+
+    def _filter_and_light(self, read1: np.ndarray, read2: np.ndarray,
+                          name: str, orientations: Sequence[PairSeeds],
+                          prepared: Optional[Sequence[Tuple[QueryResult,
+                                                            QueryResult]]]
+                          ):
+        """Phase 1 for one pair: filter, then light-align.
+
+        Returns the :class:`PairResult` of a light-aligned pair, a
+        :class:`_Placed` pair for DP at its candidates, or ``None`` for
+        the full-DP fallback.  An orientation's query statistics are
+        only charged when that orientation is actually tried.
         """
         stats = self.stats
         stats.pairs_total += 1
@@ -551,30 +610,72 @@ class GenPairPipeline:
                 stats.seedmap_fallback += 1
             else:
                 stats.filter_fallback += 1
-            return self._full_fallback(read1, read2, name)
+            return None
 
         pair_seeds, joint_candidates = best_filtered
         oriented1, oriented2 = self._oriented_codes(read1, read2,
                                                     pair_seeds.orientation)
         light = self._light_align_candidates(oriented1, oriented2,
                                              joint_candidates)
-        if light is not None:
-            stats.light_mapped += 1
-            result = self._build_result(name, STAGE_LIGHT, pair_seeds,
-                                        read1, read2, light)
-            if result.joint_score == self._perfect_joint(oriented1,
-                                                         oriented2):
-                stats.exact_pairs += 1
-            return result
+        if light is None:
+            return _Placed(pair_seeds, oriented1, oriented2,
+                           joint_candidates[:self.config.max_joint_candidates])
+        stats.light_mapped += 1
+        result = self._build_result(name, STAGE_LIGHT, pair_seeds,
+                                    read1, read2, light)
+        if result.joint_score == self._perfect_joint(oriented1, oriented2):
+            stats.exact_pairs += 1
+        return result
 
-        dp_hit = self._dp_align_candidates(oriented1, oriented2,
-                                           joint_candidates)
-        if dp_hit is not None:
+    def _dp_at_candidates(self, tasks: Sequence[_PairTask],
+                          outcomes: List) -> None:
+        """Phase 2: DP at the candidates of every :class:`_Placed` pair.
+
+        Gathers each placed pair's distinct (read, candidate) windows —
+        both reads of every joint candidate, although the candidate loop
+        only aligns the second read once the first one aligned — and
+        aligns them all in one :func:`align_banded_batch` call.  Each
+        pair's candidate loop then replays from those results, charging
+        a result's DP cells wherever the loop uses it, exactly as if
+        it had aligned on demand.  Replaces each placed pair's outcome
+        with its :class:`PairResult`, or with ``None`` when DP at no
+        candidate placed the pair.
+        """
+        placed = [index for index, outcome in enumerate(outcomes)
+                  if isinstance(outcome, _Placed)]
+        if not placed:
+            return
+        jobs: List[BandedJob] = []
+        windows: List[dict] = []
+        for index in placed:
+            pair = outcomes[index]
+            found: dict = {}
+            for role, codes in enumerate((pair.oriented1, pair.oriented2)):
+                for joint in pair.joint_candidates:
+                    key = (role, joint[role])
+                    if key in found:
+                        continue
+                    ctx = self._window(joint[role], len(codes))
+                    found[key] = None if ctx is None else (ctx, len(jobs))
+                    if ctx is not None:
+                        jobs.append(BandedJob(
+                            codes, ctx[0], ctx[1],
+                            self.config.fallback_bandwidth))
+            windows.append(found)
+        aligned = align_banded_batch(jobs, self.scheme, scalar=align_banded)
+        stats = self.stats
+        for index, found in zip(placed, windows):
+            pair = outcomes[index]
+            hit = self._dp_align_candidates(pair, found, aligned)
+            if hit is None:
+                stats.residual_fallback += 1
+                outcomes[index] = None
+                continue
             stats.light_fallback += 1
-            return self._build_result(name, STAGE_DP_CANDIDATE, pair_seeds,
-                                      read1, read2, dp_hit)
-        stats.residual_fallback += 1
-        return self._full_fallback(read1, read2, name)
+            read1, read2, name = tasks[index][:3]
+            outcomes[index] = self._build_result(
+                name, STAGE_DP_CANDIDATE, pair.pair_seeds, read1, read2,
+                hit)
 
     # -- internals ----------------------------------------------------------
 
@@ -602,7 +703,7 @@ class GenPairPipeline:
         pad = max(self.config.max_edits, self.config.fallback_pad)
         try:
             chromosome, pos = self.reference.from_linear(int(candidate))
-        except Exception:
+        except ReferenceError:
             return None
         chrom_len = self.reference.length(chromosome)
         if pos >= chrom_len or pos + read_length > chrom_len + pad:
@@ -661,17 +762,20 @@ class GenPairPipeline:
         window_start = pos - offset
         return hit, chromosome, window_start + hit.ref_start
 
-    def _dp_align_candidates(self, oriented1, oriented2, joint_candidates):
-        """Banded DP at the filtered candidates (cheap fallback arc)."""
+    def _dp_align_candidates(self, pair: _Placed, found: dict,
+                             aligned: List[AlignmentResult]):
+        """Banded DP at the filtered candidates (cheap fallback arc),
+        replayed from the phase-2 alignments ``aligned`` of the windows
+        ``found`` maps ``(role, candidate)`` to."""
         best = None
-        cap = self.config.max_joint_candidates
         min_score = int(self.config.min_dp_score_fraction
-                        * self._perfect_joint(oriented1, oriented2))
-        for cand1, cand2 in joint_candidates[:cap]:
-            hit1 = self._dp_at(oriented1, cand1)
+                        * self._perfect_joint(pair.oriented1,
+                                              pair.oriented2))
+        for cand1, cand2 in pair.joint_candidates:
+            hit1 = self._dp_at(found[(0, cand1)], aligned)
             if hit1 is None:
                 continue
-            hit2 = self._dp_at(oriented2, cand2)
+            hit2 = self._dp_at(found[(1, cand2)], aligned)
             if hit2 is None:
                 continue
             score = hit1[0].score + hit2[0].score
@@ -681,14 +785,13 @@ class GenPairPipeline:
                 best = (score, (cand1, cand2, hit1, hit2))
         return None if best is None else best[1]
 
-    def _dp_at(self, codes: np.ndarray, candidate: int):
-        ctx = self._window(candidate, len(codes))
-        if ctx is None:
+    def _dp_at(self, window, aligned: List[AlignmentResult]):
+        """One read's DP hit at one candidate window, charging its cells
+        (``window`` is ``None`` when the candidate had no window)."""
+        if window is None:
             return None
-        window, offset, chromosome, pos = ctx
-        result = align_banded(codes, window, scheme=self.scheme,
-                              diagonal=offset,
-                              bandwidth=self.config.fallback_bandwidth)
+        (_, offset, chromosome, pos), job = window
+        result = aligned[job]
         self.stats.dp_cells_candidate += result.cells
         if result.score < 0:
             return None

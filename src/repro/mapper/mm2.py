@@ -22,12 +22,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..align.banded import align_banded
+from ..align.banded import BandedJob, align_banded, align_banded_batch
 from ..align.chaining import Anchor, chain_anchors
 from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.cigar import Cigar
-from ..genome.reference import ReferenceGenome
+from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import reverse_complement
 from .index import MinimizerIndex
@@ -103,7 +103,7 @@ class Mm2LikeMapper:
                  mate: int = 0) -> AlignmentRecord:
         """Map one read; returns an unmapped record if nothing scores."""
         self.stats.reads_seen += 1
-        placements = self._placements(codes)
+        placements = self._placements(codes)[0]
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(codes)))
         placements = [p for p in placements if p.score >= min_score]
@@ -131,8 +131,7 @@ class Mm2LikeMapper:
         are the best-scoring consistent combination.
         """
         self.stats.pairs_seen += 1
-        placements1 = self._placements(read1)
-        placements2 = self._placements(read2)
+        placements1, placements2 = self._placements(read1, read2)
         with self.timer.stage("pairing"):
             combo = self._best_combo(placements1, placements2,
                                      len(read1), len(read2))
@@ -175,36 +174,65 @@ class Mm2LikeMapper:
 
     # -- pipeline stages -----------------------------------------------------
 
-    def _placements(self, codes: np.ndarray,
-                    max_placements: int = 4) -> List[_Placement]:
-        """Seed, chain, and align one read on both strands."""
-        with self.timer.stage("seeding"):
-            anchors_fwd = self._anchors(codes)
-            rc = reverse_complement(codes)
-            anchors_rev = self._anchors(rc)
-            self.stats.anchors_total += len(anchors_fwd) + len(anchors_rev)
-        with self.timer.stage("chaining"):
-            chains = []
-            result_fwd = chain_anchors(anchors_fwd,
-                                       max_gap=self.config.max_gap,
-                                       min_score=self.config.min_chain_score)
-            result_rev = chain_anchors(anchors_rev,
-                                       max_gap=self.config.max_gap,
-                                       min_score=self.config.min_chain_score)
-            self.stats.dp_cells_chaining += (result_fwd.cells
-                                             + result_rev.cells)
-            chains.extend(("+", chain) for chain in result_fwd.chains)
-            chains.extend(("-", chain) for chain in result_rev.chains)
-            chains.sort(key=lambda item: -item[1].score)
-        placements: List[_Placement] = []
+    def _placements(self, *reads: np.ndarray,
+                    max_placements: int = 4) -> List[List[_Placement]]:
+        """Seed, chain, and align reads on both strands.
+
+        The chains every read tries are aligned in one
+        :func:`align_banded_batch` call; returns each read's best
+        placements, in read order.
+        """
+        tried = []
+        for codes in reads:
+            with self.timer.stage("seeding"):
+                anchors_fwd = self._anchors(codes)
+                rc = reverse_complement(codes)
+                anchors_rev = self._anchors(rc)
+                self.stats.anchors_total += (len(anchors_fwd)
+                                             + len(anchors_rev))
+            with self.timer.stage("chaining"):
+                chains = []
+                result_fwd = chain_anchors(
+                    anchors_fwd, max_gap=self.config.max_gap,
+                    min_score=self.config.min_chain_score)
+                result_rev = chain_anchors(
+                    anchors_rev, max_gap=self.config.max_gap,
+                    min_score=self.config.min_chain_score)
+                self.stats.dp_cells_chaining += (result_fwd.cells
+                                                 + result_rev.cells)
+                chains.extend(("+", chain) for chain in result_fwd.chains)
+                chains.extend(("-", chain) for chain in result_rev.chains)
+                chains.sort(key=lambda item: -item[1].score)
+            tried.append([(strand, codes if strand == "+" else rc, chain)
+                          for strand, chain
+                          in chains[:self.config.max_chains_tried]])
         with self.timer.stage("alignment"):
-            for strand, chain in chains[:self.config.max_chains_tried]:
-                oriented = codes if strand == "+" else rc
-                placement = self._align_chain(oriented, strand, chain)
-                if placement is not None:
-                    placements.append(placement)
-        placements.sort(key=lambda p: -p.score)
-        return placements[:max_placements]
+            jobs: List[BandedJob] = []
+            windows = []  # per read: (strand, window start, job index)
+            for read_chains in tried:
+                windows.append([])
+                for strand, oriented, chain in read_chains:
+                    window = self._window(chain.diagonal, len(oriented))
+                    if window is not None:
+                        windows[-1].append((strand, window[2], len(jobs)))
+                        jobs.append(BandedJob(oriented, window[0], window[1],
+                                              self.config.bandwidth))
+            aligned = align_banded_batch(jobs, self.scheme,
+                                         scalar=align_banded)
+            placements = []
+            for read_windows in windows:
+                found: List[_Placement] = []
+                for strand, window_start, job in read_windows:
+                    result = aligned[job]
+                    self.stats.dp_cells_alignment += result.cells
+                    if result.score >= 0:
+                        found.append(_Placement(
+                            score=result.score,
+                            linear_start=window_start + result.ref_start,
+                            strand=strand, alignment=result))
+                found.sort(key=lambda p: -p.score)
+                placements.append(found[:max_placements])
+        return placements
 
     def _anchors(self, codes: np.ndarray) -> List[Anchor]:
         anchors: List[Anchor] = []
@@ -217,31 +245,13 @@ class Mm2LikeMapper:
                                       length=self.config.k))
         return anchors
 
-    def _align_chain(self, oriented: np.ndarray, strand: str, chain
-                     ) -> Optional[_Placement]:
-        """Banded alignment in the window implied by a chain."""
-        implied_start = chain.diagonal
-        window = self._window(implied_start, len(oriented))
-        if window is None:
-            return None
-        ref_window, offset, window_start = window
-        result = align_banded(oriented, ref_window, scheme=self.scheme,
-                              diagonal=offset,
-                              bandwidth=self.config.bandwidth)
-        self.stats.dp_cells_alignment += result.cells
-        if result.score < 0:
-            return None
-        return _Placement(score=result.score,
-                          linear_start=window_start + result.ref_start,
-                          strand=strand, alignment=result)
-
     def _window(self, linear_start: int, read_length: int):
         """Reference window around an implied start, clamped in-chromosome."""
         pad = self.config.window_pad
         try:
             chromosome, pos = self.reference.from_linear(
                 max(0, int(linear_start)))
-        except Exception:
+        except ReferenceError:
             return None
         chrom_len = self.reference.length(chromosome)
         start = max(0, pos - pad)
@@ -310,7 +320,7 @@ class Mm2LikeMapper:
         try:
             chromosome, pos = self.reference.from_linear(
                 max(0, int(lo)))
-        except Exception:
+        except ReferenceError:
             return None
         chrom_offset = self.reference.linear_offset(chromosome)
         chrom_len = self.reference.length(chromosome)
@@ -320,9 +330,10 @@ class Mm2LikeMapper:
             return None
         window = self.reference.fetch(chromosome, start, end)
         # Wide band: the mate can sit anywhere in the insert window.
-        result = align_banded(oriented, window, scheme=self.scheme,
-                              diagonal=(end - start) // 2,
-                              bandwidth=(end - start) // 2 + 8)
+        result, = align_banded_batch(
+            [BandedJob(oriented, window, (end - start) // 2,
+                       (end - start) // 2 + 8)],
+            self.scheme, scalar=align_banded)
         self.stats.dp_cells_alignment += result.cells
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(mate_codes)))

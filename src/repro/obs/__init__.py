@@ -8,8 +8,8 @@ histograms) that every layer records into, plus lightweight
 What is instrumented where:
 
 * :class:`~repro.core.pipeline.GenPairPipeline` — per-chunk
-  ``pipeline.seed_query_s`` / ``pipeline.filter_align_s`` histograms
-  and ``pipeline.chunks`` / ``pipeline.pairs`` counters (recorded
+  ``pipeline.seed_query_s`` / ``pipeline.filter_align_s`` /
+  ``pipeline.dp_candidate_s`` / ``pipeline.full_dp_s`` histograms and ``pipeline.chunks`` / ``pipeline.pairs`` counters (recorded
   once per chunk, so the hot path stays within 3% of uninstrumented —
   gated in ``benchmarks/bench_batch_throughput.py``);
 * :class:`~repro.core.pipeline.StreamExecutor` — worker-side

@@ -33,7 +33,11 @@ STATIC_METRICS: Dict[str, Tuple[str, str]] = {
     "pipeline.seed_query_s": (
         "histogram", "per-chunk seed hash+probe stage seconds"),
     "pipeline.filter_align_s": (
-        "histogram", "per-chunk filter+align stage seconds"),
+        "histogram", "per-chunk filter+light-align stage seconds"),
+    "pipeline.dp_candidate_s": (
+        "histogram", "per-chunk DP-at-candidates stage seconds"),
+    "pipeline.full_dp_s": (
+        "histogram", "per-chunk full-DP fallback stage seconds"),
     "executor.chunks": (
         "counter", "chunks mapped by pool workers"),
     "executor.chunk_s": (

@@ -21,7 +21,9 @@ Span-name catalog (what instrumented layers emit today):
 ``serve.map``           one daemon map request's mapping phase
 ``serve.render``        one daemon map request's output rendering
 ``seed.query_batch``    one chunk's batched seeding + SeedMap probe
-``pair.filter_align``   one chunk's per-pair filtering + alignment
+``pair.filter_align``   one chunk's adjacency filtering + light alignment
+``pair.dp_candidate``   one chunk's batched DP at candidates
+``pair.full_dp``        one chunk's full-DP fallback
 ======================  ================================================
 """
 

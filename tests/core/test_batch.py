@@ -10,8 +10,8 @@ lengths, and the forked-worker sharded mode with merged statistics.
 import numpy as np
 import pytest
 
-from repro.core import (GenPairPipeline, PipelineStats, partition_pair,
-                        partition_pairs_batch, query_read,
+from repro.core import (GenPairConfig, GenPairPipeline, PipelineStats,
+                        partition_pair, partition_pairs_batch, query_read,
                         query_reads_batch)
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           reverse_complement)
@@ -104,17 +104,28 @@ class TestMapBatchEquivalence:
         assert sequential.stats == batched.stats
 
     def test_chunking_does_not_change_results(self, plain_reference,
-                                              plain_seedmap, clean_pairs):
-        subset = clean_pairs[:30]
-        want = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
-        want_results = want.map_pairs(subset)
-        for chunk_size in (1, 7, 64):
-            pipeline = GenPairPipeline(plain_reference,
-                                       seedmap=plain_seedmap)
-            got = pipeline.map_batch(subset, chunk_size=chunk_size)
-            assert ([result_signature(r) for r in got]
-                    == [result_signature(r) for r in want_results])
-            assert pipeline.stats == want.stats
+                                              plain_seedmap, clean_pairs,
+                                              small_reference, seedmap,
+                                              batch_pairs):
+        # On the giab-like pairs a stricter DP acceptance score makes
+        # DP at candidates both place pairs and reject some of them.
+        worlds = ((plain_reference, plain_seedmap, clean_pairs[:30],
+                   GenPairConfig(), (1, 7, 64)),
+                  (small_reference, seedmap, batch_pairs,
+                   GenPairConfig(min_dp_score_fraction=0.9),
+                   (1, 7, 64, 256)))
+        for reference, index, pairs, config, chunk_sizes in worlds:
+            want = GenPairPipeline(reference, seedmap=index, config=config)
+            want_results = want.map_pairs(pairs)
+            for chunk_size in chunk_sizes:
+                pipeline = GenPairPipeline(reference, seedmap=index,
+                                           config=config)
+                got = pipeline.map_batch(pairs, chunk_size=chunk_size)
+                assert ([result_signature(r) for r in got]
+                        == [result_signature(r) for r in want_results])
+                assert pipeline.stats == want.stats
+        assert want.stats.light_fallback > 0
+        assert want.stats.residual_fallback > 0
 
     def test_accepts_tuples_and_names(self, plain_reference,
                                       plain_seedmap, clean_pairs):

@@ -111,3 +111,54 @@ class TestCustomThreshold:
                                "s").stage != STAGE_LIGHT
         assert loose.map_pair(read1, pair.read2.codes,
                               "l").stage == STAGE_LIGHT
+
+
+class TestWindowErrors:
+    """Only an out-of-range coordinate (``ReferenceError``) means "no
+    window at this candidate"; any other error in window code is a bug
+    and must surface instead of turning the pair into a fallback."""
+
+    @staticmethod
+    def _break_from_linear(reference, monkeypatch):
+        def broken(linear):
+            raise RuntimeError("window bug")
+
+        monkeypatch.setattr(reference, "from_linear", broken)
+
+    def test_out_of_range_candidate_has_no_window(self, plain_reference,
+                                                  plain_seedmap):
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        assert pipeline._window(-1, 150) is None
+        assert pipeline._window(plain_reference.total_length + 5,
+                                150) is None
+
+    def test_pipeline_propagates_other_errors(self, plain_reference,
+                                              plain_seedmap, clean_pairs,
+                                              monkeypatch):
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        pair = clean_pairs[0]
+        self._break_from_linear(plain_reference, monkeypatch)
+        with pytest.raises(RuntimeError, match="window bug"):
+            pipeline.map_pair(pair.read1.codes, pair.read2.codes, "bug")
+        with pytest.raises(RuntimeError, match="window bug"):
+            pipeline.map_batch([pair])
+
+    def test_mm2_propagates_other_errors(self, plain_reference,
+                                         clean_pairs, monkeypatch):
+        from repro.mapper import Mm2LikeMapper
+
+        mapper = Mm2LikeMapper(plain_reference)
+        pair = clean_pairs[0]
+        self._break_from_linear(plain_reference, monkeypatch)
+        with pytest.raises(RuntimeError, match="window bug"):
+            mapper.map_pair(pair.read1.codes, pair.read2.codes, "bug")
+
+    def test_longread_propagates_other_errors(self, plain_reference,
+                                              plain_seedmap, monkeypatch):
+        from repro.core import LongReadMapper
+
+        mapper = LongReadMapper(plain_reference, seedmap=plain_seedmap)
+        codes = plain_reference.fetch("chr1", 4000, 7000)
+        self._break_from_linear(plain_reference, monkeypatch)
+        with pytest.raises(RuntimeError, match="window bug"):
+            mapper.map_read(codes, "bug")
